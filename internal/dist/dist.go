@@ -18,10 +18,18 @@ import (
 // ErrBadDistribution is returned for invalid distribution parameters.
 var ErrBadDistribution = errors.New("dist: bad distribution")
 
+// guideBuckets is the bucket count of a Categorical's guide table. A power
+// of two, so u*guideBuckets and b/guideBuckets are exact in floating point.
+const guideBuckets = 64
+
 // Categorical is a probability distribution over {0, ..., n-1}.
 type Categorical struct {
 	probs []float64
 	cdf   []float64
+	// guide[b] is the smallest i with cdf[i] >= b/guideBuckets, so the
+	// inverse-CDF lookup of a uniform u starts at guide[int(u*guideBuckets)]
+	// instead of at 0 (guide[guideBuckets] covers u = 1).
+	guide [guideBuckets + 1]int32
 }
 
 // NewCategorical validates and normalizes a probability vector.
@@ -50,6 +58,18 @@ func NewCategorical(probs []float64) (*Categorical, error) {
 		c.cdf[i] = acc
 	}
 	c.cdf[len(c.cdf)-1] = 1
+	// cdf is nondecreasing except that the forced final 1 may sit below a
+	// rounded-up running sum; no bucket edge exceeds 1, so the predicate
+	// cdf[i] < b/guideBuckets is still true-then-false and one forward scan
+	// finds every edge.
+	i := 0
+	for b := range c.guide {
+		edge := float64(b) / guideBuckets
+		for c.cdf[i] < edge {
+			i++
+		}
+		c.guide[b] = int32(i)
+	}
 	return c, nil
 }
 
@@ -89,22 +109,19 @@ func (c *Categorical) Mean() float64 {
 }
 
 // Sample draws one value by inverse-CDF lookup (one rng.Float64 per draw).
-// The binary search is inlined rather than delegated to sort.SearchFloat64s:
-// it performs the identical comparisons on the identical cdf (smallest i with
-// cdf[i] >= u, midpoints by unsigned halving), so the drawn values are
-// bit-identical, without the per-draw closure call the sort.Search form pays
-// on the emulation's per-node observation path.
-func (c *Categorical) Sample(rng *rand.Rand) int {
-	u := rng.Float64()
+func (c *Categorical) Sample(rng *rand.Rand) int { return c.Index(rng.Float64()) }
+
+// Index is the inverse CDF: the smallest i with cdf[i] >= u, for u in
+// [0, 1]. The lookup starts at the guide entry of u's bucket, which no
+// answer precedes (cdf[i] < b/guideBuckets <= u below it), and scans
+// forward, so it returns exactly the index a binary search over the cdf
+// returns, in O(1) expected comparisons instead of log2(n) hard-to-predict
+// branches.
+func (c *Categorical) Index(u float64) int {
 	cdf := c.cdf
-	i, j := 0, len(cdf)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if cdf[h] < u {
-			i = h + 1
-		} else {
-			j = h
-		}
+	i := int(c.guide[int(u*guideBuckets)])
+	for cdf[i] < u {
+		i++
 	}
 	return i
 }
@@ -516,6 +533,61 @@ func SplitMix64(x uint64) uint64 {
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	return x ^ (x >> 31)
+}
+
+// SplitMixSource is a SplitMix64 rand.Source64: the generator of the
+// emulation's per-scenario node and workload streams. Its reason to exist
+// is O(1) seeding: the standard library's legacy source runs a 607-round
+// mixing loop on every Seed, which dominated worker-resident scenario
+// reset once everything else was allocation-free.
+//
+// Float64 and Bernoulli draw straight from the source, without the
+// interface call a *rand.Rand makes per draw, and return exactly what
+// rand.Rand.Float64 and SampleBernoulli return over the same state. A hot
+// loop can therefore call them directly while colder code shares the
+// stream through rand.New(src): both read one state, so the draw order,
+// and every value drawn, is the same as if all draws went through the
+// *rand.Rand.
+type SplitMixSource struct{ state uint64 }
+
+// NewSplitMixSource returns a source seeded with seed.
+func NewSplitMixSource(seed int64) *SplitMixSource {
+	return &SplitMixSource{state: uint64(seed)}
+}
+
+// Seed resets the stream in O(1).
+func (s *SplitMixSource) Seed(seed int64) { s.state = uint64(seed) }
+
+// Uint64 advances the state by GoldenGamma and returns its SplitMix64 mix.
+func (s *SplitMixSource) Uint64() uint64 {
+	s.state += GoldenGamma
+	return SplitMix64(s.state)
+}
+
+// Int63 returns the top 63 bits of Uint64.
+func (s *SplitMixSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// Float64 is rand.Rand.Float64 over this source: float64(Int63()) / 2^63,
+// drawn again in the rare case that the division rounds up to 1.
+func (s *SplitMixSource) Float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
+// Bernoulli is SampleBernoulli over this source: p <= 0 is false and
+// p >= 1 is true without a draw; any other p, NaN included, draws one
+// uniform and reports u < p.
+func (s *SplitMixSource) Bernoulli(p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	if p >= 1 {
+		return true
+	}
+	return s.Float64() < p
 }
 
 // Fingerprint hashes a float64 sequence bit-for-bit into a canonical

@@ -145,20 +145,24 @@ type Metrics struct {
 
 // simNode is one virtual node of the testbed: the environment-side state
 // (container, compromise progress, attack campaign) plus the BTR calendar
-// offset. The monitoring-side state the node controller iterates every step
-// — belief, last action, pending alert boosts, Ẑ table offsets — lives in
-// the runner's beliefLanes (struct-of-arrays), so the per-step belief
-// recursion runs over dense slices instead of chasing node pointers. The
-// intrusion tracker is embedded by value (underAttack marks it live), so
-// starting a campaign never allocates.
+// offset and window position. The monitoring-side state the node controller
+// iterates every step — belief, last action, pending alert boosts, Ẑ table
+// offsets — lives in the runner's beliefLanes (struct-of-arrays), so the
+// per-step belief recursion runs over dense slices instead of chasing node
+// pointers. The intrusion tracker is embedded by value (underAttack marks
+// it live), so starting a campaign never allocates.
 type simNode struct {
-	id            int
-	container     Container
-	state         nodemodel.State
-	intrusion     attacker.Intrusion
-	underAttack   bool
-	behaviour     attacker.Behaviour
-	phase         int // BTR calendar offset
+	id          int
+	container   Container
+	state       nodemodel.State
+	intrusion   attacker.Intrusion
+	underAttack bool
+	behaviour   attacker.Behaviour
+	phase       int // BTR calendar offset
+	// window is the node's BTR window position (t+phase) % DeltaR at the
+	// current step t, advanced and wrapped once per step instead of taking
+	// the modulo (finite DeltaR only).
+	window        int
 	compromisedAt int
 }
 
@@ -254,8 +258,14 @@ func growInts(s []int, n int) []int {
 // whole scenario run allocates nothing (guarded by
 // TestRunIntoSteadyStateZeroAllocations).
 type runner struct {
-	s    Scenario
-	rng  *rand.Rand // node/environment stream (seeded by Scenario.Seed)
+	s Scenario
+	// src is the node/environment stream (seeded by Scenario.Seed). The
+	// per-node draws of the step (alerts and the Bernoulli coin flips) call
+	// it directly; rng wraps the same source for the colder draws (catalog
+	// picks, intrusion progress, the policy's SystemContext), so both read
+	// one state and the draw order is unchanged.
+	src  *dist.SplitMixSource
+	rng  *rand.Rand
 	wrng *rand.Rand // background-workload stream (arrivals + departures)
 	fits *FitSet
 
@@ -314,8 +324,9 @@ func (r *runner) reset(s Scenario) error {
 	r.s = s
 	r.fits = fits
 	if r.rng == nil {
-		r.rng = newSplitMixRand(s.Seed)
-		r.wrng = newSplitMixRand(workloadStreamSeed(s.Seed))
+		r.src = dist.NewSplitMixSource(s.Seed)
+		r.rng = rand.New(r.src)
+		r.wrng = rand.New(dist.NewSplitMixSource(workloadStreamSeed(s.Seed)))
 	} else {
 		r.rng.Seed(s.Seed)
 		r.wrng.Seed(workloadStreamSeed(s.Seed))
@@ -341,7 +352,7 @@ func (r *runner) reset(s Scenario) error {
 		if s.DeltaR != recovery.InfiniteDeltaR {
 			phase = (i * s.DeltaR) / s.N1 // stagger forced recoveries
 		}
-		r.spawn(i, phase)
+		r.spawn(i, phase, 0)
 	}
 	r.nextID = s.N1
 	return nil
@@ -360,8 +371,10 @@ func newRunner(s Scenario) (*runner, error) {
 // spawn appends a node running a uniformly drawn catalog image — recycling
 // a previously evicted node struct when one is available — together with
 // its monitoring-lane entries (fresh belief pA, the container's Ẑ slab
-// offset).
-func (r *runner) spawn(id, phase int) {
+// offset). t is the current step (0 at reset): the node's window position
+// starts at (t+phase) % DeltaR, so it reads (t'+phase) % DeltaR at every
+// later step t' once step t' has advanced it.
+func (r *runner) spawn(id, phase, t int) {
 	var n *simNode
 	if k := len(r.pool); k > 0 {
 		n, r.pool = r.pool[k-1], r.pool[:k-1]
@@ -375,6 +388,9 @@ func (r *runner) spawn(id, phase int) {
 		state:         nodemodel.Healthy,
 		phase:         phase,
 		compromisedAt: -1,
+	}
+	if r.s.DeltaR != recovery.InfiniteDeltaR {
+		n.window = (t + phase) % r.s.DeltaR
 	}
 	r.nodes = append(r.nodes, n)
 	r.ln.appendNode(r.s.Params.PA, int32(ci*r.fits.support))
@@ -441,7 +457,7 @@ func Run(s Scenario) (*Metrics, error) {
 // step advances the simulation by one 60-second time step.
 func (r *runner) step(t int) {
 	s := &r.s
-	rng := r.rng
+	src := r.src
 	L := &r.ln
 
 	// Background client population (Poisson arrivals, exponential service
@@ -467,10 +483,14 @@ func (r *runner) step(t int) {
 	zhFlat, zcFlat := r.fits.zhFlat, r.fits.zcFlat
 	pFalse := 0.1 * load // background-traffic false-alert probability
 	for i, nd := range r.nodes {
-		obs := nd.container.Profile.Sample(rng, nd.state == nodemodel.Compromised)
+		alerts := nd.container.Profile.NoIntrusion
+		if nd.state == nodemodel.Compromised {
+			alerts = nd.container.Profile.Intrusion
+		}
+		obs := alerts.Index(src.Float64()) // = Profile.Sample, draw for draw
 		obs += int(L.boost[i])
 		L.boost[i] = 0
-		if dist.SampleBernoulli(rng, pFalse) {
+		if src.Bernoulli(pFalse) {
 			obs++ // background-traffic false alert
 		}
 		if obs >= ids.AlertSupport {
@@ -490,13 +510,21 @@ func (r *runner) step(t int) {
 	// policy's threshold recoveries, capped at k parallel recoveries.
 	// Forced nodes are marked with this step's epoch, so the exclusion
 	// test below is one lane compare per node instead of the old O(k·n)
-	// scan over the recovering list.
+	// scan over the recovering list. Every node's window position advances
+	// to this step's (t+phase) % DeltaR first.
 	r.epoch++
 	epoch := r.epoch
 	recovering := r.recovering[:0]
-	if s.Policy.UsesBTR() && s.DeltaR != recovery.InfiniteDeltaR {
+	finite := s.DeltaR != recovery.InfiniteDeltaR
+	if finite {
+		btr := s.Policy.UsesBTR()
 		for i, nd := range r.nodes {
-			if (t+nd.phase)%s.DeltaR == 0 && len(recovering) < s.K {
+			w := nd.window + 1
+			if w == s.DeltaR {
+				w = 0
+			}
+			nd.window = w
+			if btr && w == 0 && len(recovering) < s.K {
 				recovering = append(recovering, int32(i))
 				L.mark[i] = epoch
 			}
@@ -509,8 +537,8 @@ func (r *runner) step(t int) {
 			continue
 		}
 		windowPos := t + nd.phase
-		if s.DeltaR != recovery.InfiniteDeltaR {
-			windowPos = (t + nd.phase) % s.DeltaR
+		if finite {
+			windowPos = nd.window
 			if windowPos == 0 {
 				continue
 			}
@@ -545,7 +573,7 @@ func (r *runner) step(t int) {
 			r.recoveryTimes = append(r.recoveryTimes, float64(t-nd.compromisedAt))
 			nd.compromisedAt = -1
 		}
-		k := rng.Intn(r.fits.Len())
+		k := r.rng.Intn(r.fits.Len())
 		nd.container = r.fits.Container(k)
 		L.off[i] = int32(k * r.fits.support)
 		nd.state = nodemodel.Healthy
@@ -592,13 +620,13 @@ func (r *runner) step(t int) {
 		AliveNodes:      len(r.nodes),
 		Observations:    obsLane,
 		MeanObs:         meanObs,
-		Rng:             rng,
+		Rng:             r.rng,
 	}) {
 		phase := 0
-		if s.DeltaR != recovery.InfiniteDeltaR {
-			phase = rng.Intn(s.DeltaR)
+		if finite {
+			phase = r.rng.Intn(s.DeltaR)
 		}
-		r.spawn(r.nextID, phase)
+		r.spawn(r.nextID, phase, t)
 		r.nextID++
 		r.m.Additions++
 	}
@@ -631,17 +659,17 @@ func (r *runner) step(t int) {
 	for i, nd := range r.nodes {
 		switch nd.state {
 		case nodemodel.Healthy:
-			if dist.SampleBernoulli(rng, s.Params.PC1) {
+			if src.Bernoulli(s.Params.PC1) {
 				nd.state = nodemodel.Crashed
 				continue
 			}
-			if !nd.underAttack && dist.SampleBernoulli(rng, s.Params.PA) {
+			if !nd.underAttack && src.Bernoulli(s.Params.PA) {
 				if err := nd.intrusion.Begin(nd.container.ID); err == nil {
 					nd.underAttack = true
 				}
 			}
 			if nd.underAttack {
-				L.boost[i] += int32(nd.intrusion.Advance(rng))
+				L.boost[i] += int32(nd.intrusion.Advance(r.rng))
 				if nd.intrusion.Done() {
 					nd.state = nodemodel.Compromised
 					nd.behaviour = nd.intrusion.Behaviour
@@ -650,7 +678,7 @@ func (r *runner) step(t int) {
 				}
 			}
 		case nodemodel.Compromised:
-			if dist.SampleBernoulli(rng, s.Params.PC2) {
+			if src.Bernoulli(s.Params.PC2) {
 				nd.state = nodemodel.Crashed
 				if nd.compromisedAt >= 0 {
 					r.recoveryTimes = append(r.recoveryTimes, recovery.NoRecoveryPenalty)
@@ -658,7 +686,7 @@ func (r *runner) step(t int) {
 				}
 				continue
 			}
-			if dist.SampleBernoulli(rng, s.Params.PU) {
+			if src.Bernoulli(s.Params.PU) {
 				// Software update silently cleans the node (eq. 2g);
 				// not a controller recovery, so T(R) is not recorded.
 				nd.state = nodemodel.Healthy

@@ -1,10 +1,12 @@
 package emulation
 
 import (
+	"slices"
 	"testing"
 
 	"tolerance/internal/baselines"
 	"tolerance/internal/nodemodel"
+	"tolerance/internal/recovery"
 )
 
 // TestRunIntoMatchesRun is the worker-residency contract: a sequence of
@@ -93,5 +95,70 @@ func TestAccumulatorAddZeroAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Accumulator.Add allocates %v times per call, want 0", allocs)
+	}
+}
+
+// windowProbe is PERIODIC-ADAPTIVE recording the WindowPos of every
+// NodeAction call.
+type windowProbe struct {
+	baselines.PeriodicAdaptive
+	got []int
+}
+
+func (p *windowProbe) NodeAction(ctx baselines.NodeContext) nodemodel.Action {
+	p.got = append(p.got, ctx.WindowPos)
+	return p.PeriodicAdaptive.NodeAction(ctx)
+}
+
+// TestWindowCounterMatchesModulo checks the per-node BTR window counter
+// against the modulo it replaced: after every step t each node's counter
+// is (t+phase) % DeltaR, and the policy sees exactly the WindowPos values
+// the modulo gives, in node order, skipping the forced position 0 — or
+// t+phase under recovery.InfiniteDeltaR. The crash-heavy scada-sweep
+// profile makes nodes get evicted, added mid-run and recovered.
+func TestWindowCounterMatchesModulo(t *testing.T) {
+	params := nodemodel.DefaultParams()
+	params.PA, params.PC1, params.PC2 = 0.08, 2e-2, 8e-2
+	for _, deltaR := range []int{1, 15, recovery.InfiniteDeltaR} {
+		finite := deltaR != recovery.InfiniteDeltaR
+		probe := &windowProbe{PeriodicAdaptive: baselines.PeriodicAdaptive{TargetN: 6}}
+		r, err := newRunner(Scenario{
+			N1: 6, DeltaR: deltaR, Steps: 400, Seed: 9, Params: params, Policy: probe,
+			FitSamples: 300, Workload: BackgroundWorkload{Lambda: 4, MeanServiceSteps: 25},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCounters := func(step int) {
+			for _, nd := range r.nodes {
+				if finite && nd.window != (step+nd.phase)%deltaR {
+					t.Fatalf("deltaR %d step %d node %d: window %d, (t+phase)%%DeltaR = %d",
+						deltaR, step, nd.id, nd.window, (step+nd.phase)%deltaR)
+				}
+			}
+		}
+		checkCounters(0)
+		var want []int
+		for step := 1; step <= r.s.Steps; step++ {
+			want = want[:0]
+			for _, nd := range r.nodes {
+				switch {
+				case !finite:
+					want = append(want, step+nd.phase)
+				case (step+nd.phase)%deltaR != 0:
+					want = append(want, (step+nd.phase)%deltaR)
+				}
+			}
+			probe.got = probe.got[:0]
+			r.step(step)
+			if !slices.Equal(probe.got, want) {
+				t.Fatalf("deltaR %d step %d: WindowPos %v, want %v", deltaR, step, probe.got, want)
+			}
+			checkCounters(step)
+		}
+		m := r.m
+		if m.Additions == 0 || m.Evictions == 0 || (finite && m.Recoveries == 0) {
+			t.Errorf("deltaR %d: churn too light to exercise the counters: %+v", deltaR, m)
+		}
 	}
 }
