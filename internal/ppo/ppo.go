@@ -280,11 +280,12 @@ func (b *rollout) absorb(ep *rollout) {
 // were played sequentially or speculatively on cfg.Workers goroutines
 // (surplus speculative episodes are discarded).
 func collectRollout(params nodemodel.Params, policy *Policy, cfg Config, iter int) *rollout {
+	k := params.Kernel()
 	b := &rollout{}
 	next := 0
 	if cfg.Workers <= 1 {
 		for len(b.obs) < cfg.StepsPerIteration {
-			runPPOEpisode(episodeRng(cfg.Seed, iter, next), params, policy, cfg, b)
+			runPPOEpisode(episodeRng(cfg.Seed, iter, next), params, &k, policy, cfg, b)
 			next++
 		}
 		return b
@@ -306,7 +307,7 @@ func collectRollout(params nodemodel.Params, policy *Policy, cfg Config, iter in
 			go func(w int) {
 				defer wg.Done()
 				ep := &rollout{}
-				runPPOEpisode(episodeRng(cfg.Seed, iter, next+w), params, policy, cfg, ep)
+				runPPOEpisode(episodeRng(cfg.Seed, iter, next+w), params, &k, policy, cfg, ep)
 				wave[w] = ep
 			}(w)
 		}
@@ -323,15 +324,16 @@ func collectRollout(params nodemodel.Params, policy *Policy, cfg Config, iter in
 }
 
 // runPPOEpisode plays one episode, appending decision steps to the batch.
-// Rewards are negative costs (eq. 5).
-func runPPOEpisode(rng *rand.Rand, params nodemodel.Params, policy *Policy, cfg Config, b *rollout) {
+// Rewards are negative costs (eq. 5). Draws and belief updates go through
+// k, the compiled form of params.
+func runPPOEpisode(rng *rand.Rand, params nodemodel.Params, k *nodemodel.Kernel, policy *Policy, cfg Config, b *rollout) {
 	state := nodemodel.Healthy
 	if rng.Float64() < params.PA {
 		state = nodemodel.Compromised
 	}
 	belief := params.PA
-	obs := params.SampleObservation(rng, state)
-	belief = posterior(params, belief, obs)
+	obs := k.SampleObservation(rng, state)
+	belief = k.Posterior(belief, obs)
 
 	for t := 1; t <= cfg.Horizon; t++ {
 		windowPos := t
@@ -359,31 +361,19 @@ func runPPOEpisode(rng *rand.Rand, params nodemodel.Params, policy *Policy, cfg 
 			b.terminal = append(b.terminal, false)
 		}
 
-		state = params.SampleTransition(rng, state, action)
+		state = k.SampleTransition(rng, state, action)
 		if state == nodemodel.Crashed {
 			if n := len(b.terminal); n > 0 {
 				b.terminal[n-1] = true
 			}
 			return
 		}
-		o := params.SampleObservation(rng, state)
-		belief = params.UpdateBelief(belief, action, o)
+		o := k.SampleObservation(rng, state)
+		belief = k.UpdateBelief(belief, action, o)
 	}
 	if n := len(b.terminal); n > 0 {
 		b.terminal[n-1] = true
 	}
-}
-
-// posterior applies the observation update only (first step of an episode).
-func posterior(p nodemodel.Params, prior float64, obs int) float64 {
-	zc := p.ZCompromised.Prob(obs)
-	zh := p.ZHealthy.Prob(obs)
-	num := zc * prior
-	den := num + zh*(1-prior)
-	if den <= 0 {
-		return prior
-	}
-	return num / den
 }
 
 // computeGAE fills advantages and returns using the critic.

@@ -71,22 +71,22 @@ func Evaluate(rng *rand.Rand, p nodemodel.Params, s Strategy, cfg SimConfig) (*M
 		return nil, fmt.Errorf("%w: nil strategy", ErrBadSimConfig)
 	}
 
+	k := p.Kernel()
 	var (
 		totalCost      float64
 		aliveSteps     int
 		recoveries     int
 		crashes        int
-		recoveryTimes  []float64
 		intrusionCount int
+		ttr            recoveryTimes
 	)
 
 	for e := 0; e < cfg.Episodes; e++ {
-		ep := runEpisode(rng, p, s, cfg)
+		ep := runEpisode(rng, p, &k, s, cfg, &ttr)
 		totalCost += ep.cost
 		aliveSteps += ep.aliveSteps
 		recoveries += ep.recoveries
 		intrusionCount += ep.intrusions
-		recoveryTimes = append(recoveryTimes, ep.recoveryTimes...)
 		if ep.crashed {
 			crashes++
 		}
@@ -100,12 +100,8 @@ func Evaluate(rng *rand.Rand, p nodemodel.Params, s Strategy, cfg SimConfig) (*M
 		m.AvgCost = totalCost / float64(aliveSteps)
 		m.RecoveryFrequency = float64(recoveries) / float64(aliveSteps)
 	}
-	if len(recoveryTimes) > 0 {
-		sum := 0.0
-		for _, t := range recoveryTimes {
-			sum += t
-		}
-		m.TimeToRecovery = sum / float64(len(recoveryTimes))
+	if ttr.n > 0 {
+		m.TimeToRecovery = ttr.sum / float64(ttr.n)
 	}
 	comp := 0.0
 	if aliveSteps > 0 {
@@ -123,19 +119,33 @@ func totalCostToCompromised(totalCost float64, recoveries int, eta float64) floa
 }
 
 type episodeResult struct {
-	cost          float64
-	aliveSteps    int
-	recoveries    int
-	intrusions    int
-	crashed       bool
-	recoveryTimes []float64
+	cost       float64
+	aliveSteps int
+	recoveries int
+	intrusions int
+	crashed    bool
+}
+
+// recoveryTimes folds the T(R) samples of all episodes into a running sum
+// and count. Samples are added in episode-then-step order, which fixes the
+// rounding of sum.
+type recoveryTimes struct {
+	sum float64
+	n   int
+}
+
+func (r *recoveryTimes) add(t float64) {
+	r.sum += t
+	r.n++
 }
 
 // runEpisode simulates one episode of Problem 1: the node starts with
 // initial compromise probability pA (b_{i,1} = p_{A,i}, eq. 6a), the
 // controller observes alerts, updates the belief (App. A) and acts; the BTR
 // constraint forces recovery when the window position reaches deltaR.
-func runEpisode(rng *rand.Rand, p nodemodel.Params, s Strategy, cfg SimConfig) episodeResult {
+// Draws and belief updates go through k, the compiled form of p; T(R)
+// samples go to ttr.
+func runEpisode(rng *rand.Rand, p nodemodel.Params, k *nodemodel.Kernel, s Strategy, cfg SimConfig, ttr *recoveryTimes) episodeResult {
 	var res episodeResult
 
 	state := nodemodel.Healthy
@@ -145,8 +155,8 @@ func runEpisode(rng *rand.Rand, p nodemodel.Params, s Strategy, cfg SimConfig) e
 	}
 	// Initial belief and observation.
 	belief := p.PA
-	obs := p.SampleObservation(rng, state)
-	belief = bayesObservation(p, belief, obs)
+	obs := k.SampleObservation(rng, state)
+	belief = k.Posterior(belief, obs)
 
 	compromisedAt := -1
 	if state == nodemodel.Compromised {
@@ -174,17 +184,17 @@ func runEpisode(rng *rand.Rand, p nodemodel.Params, s Strategy, cfg SimConfig) e
 		if action == nodemodel.Recover {
 			res.recoveries++
 			if compromisedAt >= 0 {
-				res.recoveryTimes = append(res.recoveryTimes, float64(t-compromisedAt))
+				ttr.add(float64(t - compromisedAt))
 				compromisedAt = -1
 			}
 		}
 
 		prevState := state
-		state = p.SampleTransition(rng, prevState, action)
+		state = k.SampleTransition(rng, prevState, action)
 		if state == nodemodel.Crashed {
 			res.crashed = true
 			if compromisedAt >= 0 {
-				res.recoveryTimes = append(res.recoveryTimes, NoRecoveryPenalty)
+				ttr.add(NoRecoveryPenalty)
 			}
 			return res
 		}
@@ -203,24 +213,11 @@ func runEpisode(rng *rand.Rand, p nodemodel.Params, s Strategy, cfg SimConfig) e
 			compromisedAt = -1
 		}
 
-		obs = p.SampleObservation(rng, state)
-		belief = p.UpdateBelief(belief, action, obs)
+		obs = k.SampleObservation(rng, state)
+		belief = k.UpdateBelief(belief, action, obs)
 	}
 	if compromisedAt >= 0 {
-		res.recoveryTimes = append(res.recoveryTimes, NoRecoveryPenalty)
+		ttr.add(NoRecoveryPenalty)
 	}
 	return res
-}
-
-// bayesObservation applies only the observation part of the belief update
-// (used for the very first observation where no action preceded).
-func bayesObservation(p nodemodel.Params, prior float64, obs int) float64 {
-	zc := p.ZCompromised.Prob(obs)
-	zh := p.ZHealthy.Prob(obs)
-	num := zc * prior
-	den := num + zh*(1-prior)
-	if den <= 0 {
-		return prior
-	}
-	return num / den
 }
