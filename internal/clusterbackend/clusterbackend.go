@@ -1,11 +1,12 @@
 // Package clusterbackend executes a fleet scenario against a live MinBFT
 // replica group instead of the analytic emulation: N1 real replicas over
 // loopback TCP, a seeded attacker walking the Table 6 campaigns on the
-// emulation timeline, node controllers running the Appendix A belief
-// recursion on seeded IDS observations, and recovery decisions that
-// actually restart replica processes — the application domain is torn down
-// and rebuilt while the USIG counter survives in the trusted domain
-// (usig.ResumeHMAC), exactly the hybrid failure model of §IV.
+// emulation timeline, the emulation's own two-level controller
+// (emulation.Controller) running the Appendix A belief recursion on seeded
+// IDS observations, and recovery decisions that actually restart replica
+// processes — the application domain is torn down and rebuilt while the
+// USIG counter survives in the trusted domain (usig.ResumeHMAC), exactly the
+// hybrid failure model of §IV.
 //
 // Determinism contract: the *schedule* (intrusion campaigns, crash draws,
 // observations, beliefs, and therefore every recovery, eviction and
@@ -20,20 +21,15 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"tolerance/internal/attacker"
-	"tolerance/internal/baselines"
 	"tolerance/internal/chaos"
 	"tolerance/internal/dist"
 	"tolerance/internal/emulation"
 	"tolerance/internal/ids"
 	"tolerance/internal/minbft"
-	"tolerance/internal/nodemodel"
-	"tolerance/internal/recovery"
 	"tolerance/internal/replica"
 	"tolerance/internal/telemetry"
 	"tolerance/internal/transport"
@@ -112,11 +108,13 @@ type Result struct {
 	MaxView uint64
 }
 
-// node is one live replica plus its controller-side state. The slice order
-// in cluster.nodes is the rng draw order — part of the schedule contract:
-// everything below the process handles (belief, compromise, crash flags) is
-// a pure function of the scenario seed, while procDead tracks real-world
-// process health only and never feeds back into the schedule.
+// node is one live replica plus its environment-side state; its controller
+// state lives in the cluster's emulation.Controller at the same index. The
+// slice order in cluster.nodes is the rng draw order — part of the schedule
+// contract: everything below the process handles (alert profile, intrusion,
+// compromise and crash flags) is a pure function of the scenario seed, while
+// procDead tracks real-world process health only and never feeds back into
+// the schedule.
 type node struct {
 	addr  string // member ID == TCP listen address
 	ep    *transport.TCPEndpoint
@@ -127,19 +125,12 @@ type node struct {
 	// schedule treats the node as alive, the measurements see it dead.
 	procDead bool
 
-	profile ids.Profile
-	zh, zc  []float64 // fitted likelihood rows Ẑ(o|H), Ẑ(o|C)
-
-	belief        float64
-	phase         int
-	boost         int
-	obs           int
-	underAttack   bool
-	intrusion     attacker.Intrusion
-	compromised   bool
-	crashed       bool
-	compromisedAt int
-	lastRecover   bool
+	profile     ids.Profile
+	boost       int
+	underAttack bool
+	intrusion   attacker.Intrusion
+	compromised bool
+	crashed     bool
 }
 
 type cluster struct {
@@ -149,6 +140,10 @@ type cluster struct {
 	rng  *rand.Rand // schedule stream (seeded by Scenario.Seed)
 	wrng *rand.Rand // background-workload stream
 	fits *emulation.FitSet
+	// ctl is the two-level controller and its metric tally, shared with the
+	// emulation; the cluster adds the probe-measured availability and
+	// latency on top.
+	ctl *emulation.Controller
 
 	verifier *usig.Verifier
 	registry *replica.Registry
@@ -166,19 +161,10 @@ type cluster struct {
 
 	digest *fnv64
 
-	// metric state, mirroring the emulation runner
-	m              emulation.Metrics
-	recoveryTimes  []float64
-	availableSteps int
-	quorumSteps    int
-	nodeSteps      int
-	totalNodes     float64
-	costSum        float64
-	obsSum         float64
-	obsCount       int
-	latencySumMS   float64
-	latencyCount   int
-	restarts       int
+	probesOK     int
+	latencySumMS float64
+	latencyCount int
+	restarts     int
 
 	tm clusterMetrics
 }
@@ -279,51 +265,18 @@ func Run(ctx context.Context, sc emulation.Scenario, opts Options) (Result, erro
 // boot validates the scenario and starts the replica group, the admin
 // client and the probe client.
 func boot(sc emulation.Scenario, opts Options) (*cluster, error) {
-	// Reuse the emulation's validation and defaulting by round-tripping
-	// through a zero-step dry run's rules: apply the same defaults here.
-	if sc.Policy == nil {
-		return nil, fmt.Errorf("clusterbackend: nil policy")
-	}
 	if sc.N1 < 2 {
-		return nil, fmt.Errorf("clusterbackend: N1 = %d (need >= 2 live replicas)", sc.N1)
-	}
-	if sc.SMax == 0 {
-		sc.SMax = 13
-	}
-	if sc.K == 0 {
-		sc.K = 1
-	}
-	if sc.F == 0 {
-		sc.F = emulation.DefaultThreshold(sc.N1)
+		return nil, fmt.Errorf("clusterbackend: %w: N1 = %d (need >= 2 live replicas)", emulation.ErrBadScenario, sc.N1)
 	}
 	if sc.Steps == 0 {
 		sc.Steps = 100
 	}
-	if sc.Params.ZHealthy == nil {
-		p := nodemodel.DefaultParams()
-		p.PA = 0.1
-		sc.Params = p
-	}
-	if err := sc.Params.Validate(); err != nil {
+	if err := sc.ApplyDefaults(); err != nil {
 		return nil, err
 	}
-	if sc.FitSamples == 0 {
-		sc.FitSamples = 25000
-	}
-	if sc.Workload.Lambda == 0 {
-		sc.Workload = emulation.DefaultBackgroundWorkload()
-	}
-	fits := sc.Fits
-	if fits == nil {
-		fitSeed := sc.FitSeed
-		if fitSeed == 0 {
-			fitSeed = emulation.FitStreamSeed(sc.Seed)
-		}
-		var err error
-		fits, err = emulation.NewFitSet(sc.FitSamples, fitSeed)
-		if err != nil {
-			return nil, err
-		}
+	fits, err := sc.FitSet()
+	if err != nil {
+		return nil, err
 	}
 	verifier, err := usig.NewHMACVerifier(clusterKey)
 	if err != nil {
@@ -335,6 +288,7 @@ func boot(sc emulation.Scenario, opts Options) (*cluster, error) {
 		rng:      rand.New(rand.NewSource(sc.Seed)),
 		wrng:     rand.New(rand.NewSource(workloadSeed(sc.Seed))),
 		fits:     fits,
+		ctl:      emulation.NewController(sc, fits),
 		verifier: verifier,
 		registry: replica.NewRegistry(),
 		digest:   newFNV64(),
@@ -359,11 +313,7 @@ func boot(sc emulation.Scenario, opts Options) (*cluster, error) {
 		members = append(members, ep.Addr())
 	}
 	for i, ep := range eps {
-		phase := 0
-		if sc.DeltaR != recovery.InfiniteDeltaR && sc.DeltaR > 0 {
-			phase = (i * sc.DeltaR) / sc.N1 // stagger, like the emulation
-		}
-		n, err := c.startNode(ep, members, phase, 0)
+		n, err := c.startNode(ep, members, i)
 		if err != nil {
 			c.close()
 			return nil, err
@@ -417,52 +367,17 @@ func (c *cluster) newClient(timeout time.Duration) (*minbft.Client, *transport.T
 	return cl, ep, nil
 }
 
-// startNode boots one replica on ep. The container draw comes from the
-// schedule stream; usigCounter > 0 resumes the trusted counter of a
-// previous incarnation (a restart).
-func (c *cluster) startNode(ep *transport.TCPEndpoint, members []string, phase int, usigCounter uint64) (*node, error) {
-	addr := ep.Addr()
-	var u *usig.USIG
-	var err error
-	if usigCounter > 0 {
-		u, err = usig.ResumeHMAC(addr, clusterKey, usigCounter)
-	} else {
-		u, err = usig.NewHMAC(addr, clusterKey)
-	}
-	if err != nil {
-		return nil, err
-	}
-	store := replica.NewKVStore()
-	rep, err := minbft.NewReplica(minbft.Config{
-		ID:             addr,
-		Members:        members,
-		K:              c.sc.K,
-		Endpoint:       c.opts.Chaos.WrapEndpoint(ep),
-		USIG:           u,
-		Verifier:       c.verifier,
-		Registry:       c.registry,
-		Store:          store,
-		RequestTimeout: 250 * time.Millisecond,
-		TickInterval:   5 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
+// startNode boots initial replica i on ep: the schedule-stream container
+// draw, then startNodeOn.
+func (c *cluster) startNode(ep *transport.TCPEndpoint, members []string, i int) (*node, error) {
 	ci := c.rng.Intn(c.fits.Len())
-	fit := c.fits.Fitted(ci)
-	return &node{
-		addr:          addr,
-		ep:            ep,
-		rep:           rep,
-		u:             u,
-		store:         store,
-		profile:       c.fits.Container(ci).Profile,
-		zh:            fit.Healthy.Probs(),
-		zc:            fit.Compromised.Probs(),
-		belief:        c.sc.Params.PA,
-		phase:         phase,
-		compromisedAt: -1,
-	}, nil
+	n, err := c.startNodeOn(ep, members, 0)
+	if err != nil {
+		return nil, err
+	}
+	n.profile = c.fits.Container(ci).Profile
+	c.ctl.AddNode(ci, c.ctl.InitialPhase(i), 0)
+	return n, nil
 }
 
 // members returns the current member list in node order.
@@ -504,10 +419,12 @@ func (c *cluster) refreshClients() {
 	c.probe.UpdateMembership(members, f)
 }
 
-// step advances the cluster one control interval, mirroring the emulation's
-// six stages with real consensus-level effects.
+// step advances the cluster one control interval through the shared
+// controller (see emulation.Controller for the stage order), with real
+// consensus-level effects.
 func (c *cluster) step(t int) {
 	sc := &c.sc
+	ctl := c.ctl
 	rng := c.rng
 
 	// Background client population drives the false-alert rate, same
@@ -517,148 +434,44 @@ func (c *cluster) step(t int) {
 	load := float64(c.sessions) / (sc.Workload.Lambda * sc.Workload.MeanServiceSteps)
 	pFalse := 0.1 * load
 
-	// 1. Seeded IDS observations + Appendix A belief recursion, strictly
-	// in node order (the rng draw order is the schedule contract).
-	for _, n := range c.nodes {
+	// 1. Seeded IDS observations, strictly in node order (the rng draw
+	// order is the schedule contract), then the belief updates.
+	for i, n := range c.nodes {
 		obs := n.profile.Sample(rng, n.compromised)
 		obs += n.boost
 		n.boost = 0
 		if dist.SampleBernoulli(rng, pFalse) {
 			obs++
 		}
-		if obs >= ids.AlertSupport {
-			obs = ids.AlertSupport - 1
-		}
-		n.obs = obs
-		c.obsSum += float64(obs)
-		c.obsCount++
-		action := nodemodel.Wait
-		if n.lastRecover {
-			action = nodemodel.Recover
-		}
-		pred := sc.Params.PredictBelief(n.belief, action)
-		den := n.zc[obs]*pred + n.zh[obs]*(1-pred)
-		if den > 0 {
-			b := n.zc[obs] * pred / den
-			if b < 0 {
-				b = 0
-			} else if b > 1 {
-				b = 1
-			}
-			n.belief = b
-		}
-		n.lastRecover = false
+		ctl.Observe(i, obs)
 	}
+	ctl.UpdateBeliefs()
 
-	// 2. Action selection: forced BTR calendar first, then the policy's
-	// threshold recoveries in descending belief order, K-capped.
-	recovering := make([]int, 0, sc.K)
-	forced := make(map[int]bool, sc.K)
-	if sc.Policy.UsesBTR() && sc.DeltaR != recovery.InfiniteDeltaR && sc.DeltaR > 0 {
-		for i, n := range c.nodes {
-			if (t+n.phase)%sc.DeltaR == 0 && len(recovering) < sc.K {
-				recovering = append(recovering, i)
-				forced[i] = true
-			}
-		}
-	}
-	var candidates []int
-	for i, n := range c.nodes {
-		if forced[i] {
-			continue
-		}
-		windowPos := t + n.phase
-		if sc.DeltaR != recovery.InfiniteDeltaR && sc.DeltaR > 0 {
-			windowPos = (t + n.phase) % sc.DeltaR
-			if windowPos == 0 {
-				continue
-			}
-		}
-		action := sc.Policy.NodeAction(baselines.NodeContext{
-			Belief:    n.belief,
-			Obs:       n.obs,
-			WindowPos: windowPos,
-			DeltaR:    sc.DeltaR,
-		})
-		if action == nodemodel.Recover {
-			candidates = append(candidates, i)
-		}
-	}
-	sort.SliceStable(candidates, func(a, b int) bool {
-		return c.nodes[candidates[a]].belief > c.nodes[candidates[b]].belief
-	})
-	for _, i := range candidates {
-		if len(recovering) >= sc.K {
-			break
-		}
-		recovering = append(recovering, i)
-	}
-
-	// 3. Apply recoveries: REAL replica restarts. The rng draws inside
-	// restartNode stay on the schedule stream regardless of whether the
-	// process restart succeeds, so the schedule never forks on wall-clock
-	// outcomes.
-	for _, i := range recovering {
-		c.digest.event(t, evRecover, i)
-		c.restartNode(t, c.nodes[i])
+	// 2-3. Action selection and recoveries: REAL replica restarts. The rng
+	// draws inside restartNode stay on the schedule stream regardless of
+	// whether the process restart succeeds, so the schedule never forks on
+	// wall-clock outcomes.
+	for _, i := range ctl.SelectRecoveries(t) {
+		c.digest.event(t, evRecover, int(i))
+		c.restartNode(t, int(i))
 	}
 
 	// 4. System controller: evict crashed members through consensus, then
-	// maybe grow the group. A failed evict leaves the node in place (it
-	// keeps counting against availability) and retries next step.
-	evicted := c.evictCrashed(t)
-	healthyEstimate := 0.0
-	obsLane := make([]int, len(c.nodes))
-	for i, n := range c.nodes {
-		healthyEstimate += 1 - n.belief
-		obsLane[i] = n.obs
-	}
-	est := int(math.Floor(healthyEstimate))
-	if est > sc.SMax {
-		est = sc.SMax
-	}
-	meanObs := 0.0
-	if c.obsCount > 0 {
-		meanObs = c.obsSum / float64(c.obsCount)
-	}
-	if len(c.nodes) < sc.SMax && sc.Policy.AddNode(baselines.SystemContext{
-		HealthyEstimate: est,
-		AliveNodes:      len(c.nodes),
-		Observations:    obsLane,
-		MeanObs:         meanObs,
-		Rng:             rng,
-	}) {
+	// maybe grow the group. A failed evict op leaves a dead member in the
+	// live group's membership (see evictCrashed).
+	c.evictCrashed(t)
+	if phase, ok := ctl.Grow(rng); ok {
 		c.digest.event(t, evAdd, c.nextID)
-		c.addNode()
+		c.addNode(t, phase)
 	}
 
 	// 5. Metrics. Availability is REAL: one probe write per step must
-	// commit within the probe timeout. The structural quorum condition
-	// (Prop. 1) is tracked alongside; crashed-but-unevicted members count
-	// as failed.
-	compromised, failed := 0, 0
-	for _, n := range c.nodes {
-		switch {
-		case n.lastRecover:
-			c.costSum++
-		case n.compromised:
-			c.costSum += sc.Params.Eta
-		}
-		if n.compromised {
-			compromised++
-		}
-		if n.crashed {
-			failed++
-		}
+	// commit within the probe timeout. The controller tallies the cost and
+	// the structural quorum condition (Prop. 1).
+	ctl.Tally()
+	if c.probeOnce(t) {
+		c.probesOK++
 	}
-	if ok := c.probeOnce(); ok {
-		c.availableSteps++
-	}
-	if compromised+failed+evicted <= sc.F && len(c.nodes)-failed >= 2*sc.F+1+sc.K {
-		c.quorumSteps++
-	}
-	c.nodeSteps += len(c.nodes)
-	c.totalNodes += float64(len(c.nodes))
 
 	// 6. Environment transitions on the schedule stream: crashes stop the
 	// real process, completed intrusions flip the replica's protocol-level
@@ -683,8 +496,7 @@ func (c *cluster) step(t int) {
 				n.boost += n.intrusion.Advance(rng)
 				if n.intrusion.Done() {
 					n.compromised = true
-					n.compromisedAt = t
-					c.m.Intrusions++
+					ctl.Compromised(i, t)
 					c.tm.inc(c.tm.intrus)
 					c.digest.event(t, evCompromised, i)
 					if n.rep != nil {
@@ -702,10 +514,7 @@ func (c *cluster) step(t int) {
 		// Compromised.
 		if dist.SampleBernoulli(rng, sc.Params.PC2) {
 			c.digest.event(t, evCrash, i)
-			if n.compromisedAt >= 0 {
-				c.recoveryTimes = append(c.recoveryTimes, recovery.NoRecoveryPenalty)
-				n.compromisedAt = -1
-			}
+			ctl.Crashed(i)
 			c.crashNode(n)
 			continue
 		}
@@ -713,7 +522,7 @@ func (c *cluster) step(t int) {
 			c.digest.event(t, evClean, i)
 			n.compromised = false
 			n.underAttack = false
-			n.compromisedAt = -1
+			ctl.Cleaned(i)
 			if n.rep != nil {
 				n.rep.SetByzantine(minbft.Honest)
 			}
@@ -723,10 +532,10 @@ func (c *cluster) step(t int) {
 
 // probeOnce submits one write through consensus and records the real
 // latency; failure (timeout, lost quorum) is a real unavailability sample.
-func (c *cluster) probeOnce() bool {
+func (c *cluster) probeOnce(t int) bool {
 	start := time.Now()
 	_, err := c.probe.Submit(replica.Op{
-		Type: replica.OpWrite, Key: "cluster-probe", Value: fmt.Sprintf("t%d", c.nodeSteps),
+		Type: replica.OpWrite, Key: "cluster-probe", Value: fmt.Sprintf("t%d", t),
 	})
 	elapsed := time.Since(start)
 	if c.tm.latency != nil {
@@ -742,7 +551,7 @@ func (c *cluster) probeOnce() bool {
 	return true
 }
 
-// restartNode rebuilds a replica's application domain in place: the old
+// restartNode rebuilds replica i's application domain in place: the old
 // process stops, the endpoint re-listens on the same address, a fresh
 // container image is drawn, and the new process resumes the trusted USIG
 // counter and state-syncs from its peers (§VII-C). Crashed nodes restart
@@ -750,24 +559,17 @@ func (c *cluster) probeOnce() bool {
 // effect (rng draws, belief reset, compromise clearing) applies whether or
 // not the real restart succeeds, so the seeded schedule never forks on a
 // wall-clock outcome; a failed restart only marks the process dead.
-func (c *cluster) restartNode(t int, n *node) {
+func (c *cluster) restartNode(t, i int) {
 	// Schedule-stream draw first, unconditionally.
 	ci := c.rng.Intn(c.fits.Len())
+	c.ctl.Recover(i, t, ci)
 
-	c.m.Recoveries++
-	if n.compromisedAt >= 0 {
-		c.recoveryTimes = append(c.recoveryTimes, float64(t-n.compromisedAt))
-		n.compromisedAt = -1
-	}
-	fit := c.fits.Fitted(ci)
+	n := c.nodes[i]
 	n.profile = c.fits.Container(ci).Profile
-	n.zh, n.zc = fit.Healthy.Probs(), fit.Compromised.Probs()
-	n.belief = c.sc.Params.PA
 	n.crashed = false
 	n.compromised = false
 	n.underAttack = false
 	n.boost = 0
-	n.lastRecover = true
 
 	var counter uint64
 	if n.u != nil {
@@ -786,7 +588,7 @@ func (c *cluster) restartNode(t int, n *node) {
 		return
 	}
 	members, _ := c.realMembers()
-	fresh, err := c.startNodeOn(ep, members, n.phase, counter)
+	fresh, err := c.startNodeOn(ep, members, counter)
 	if err != nil {
 		c.tm.inc(c.tm.restFail)
 		_ = ep.Close()
@@ -801,9 +603,10 @@ func (c *cluster) restartNode(t int, n *node) {
 	c.tm.inc(c.tm.restarts)
 }
 
-// startNodeOn is startNode without the schedule-stream container draw (the
-// caller already drew it).
-func (c *cluster) startNodeOn(ep *transport.TCPEndpoint, members []string, phase int, usigCounter uint64) (*node, error) {
+// startNodeOn boots a replica process on ep; usigCounter > 0 resumes the
+// trusted counter of a previous incarnation (a restart). The container draw
+// is the caller's.
+func (c *cluster) startNodeOn(ep *transport.TCPEndpoint, members []string, usigCounter uint64) (*node, error) {
 	addr := ep.Addr()
 	var u *usig.USIG
 	var err error
@@ -866,25 +669,24 @@ func (c *cluster) crashNode(n *node) {
 	c.tm.inc(c.tm.crashes)
 }
 
-// evictCrashed removes crashed members and returns the number evicted this
-// step. Removal from the node set is schedule-driven (crash draws are
+// evictCrashed removes crashed members from the group and the controller. Removal from the node set is schedule-driven (crash draws are
 // seeded, so the set of evicted nodes is too); the consensus-level config
 // op (Fig 17f) is the real-world effect and is best-effort — a failed
 // Submit leaves a dead member in the live group's membership (it consumes
 // fault budget, a real degradation the probes will see) and is counted,
 // never retried against the schedule.
-func (c *cluster) evictCrashed(t int) int {
-	evicted := 0
+func (c *cluster) evictCrashed(t int) {
 	kept := c.nodes[:0]
 	for i, n := range c.nodes {
 		if !n.crashed {
+			if j := len(kept); j != i {
+				c.ctl.MoveNode(j, i)
+			}
 			kept = append(kept, n)
 			continue
 		}
 		c.digest.event(t, evEvict, i)
-		c.m.Evictions++
 		c.tm.inc(c.tm.evicts)
-		evicted++
 		op, err := minbft.EncodeConfigOp("evict", n.addr)
 		if err == nil {
 			_, err = c.admin.Submit(op)
@@ -893,36 +695,25 @@ func (c *cluster) evictCrashed(t int) int {
 			c.tm.inc(c.tm.cfgFail)
 		}
 	}
+	evicted := len(c.nodes) - len(kept)
 	c.nodes = kept
+	c.ctl.Evict(len(kept))
 	if evicted > 0 {
 		c.refreshClients()
 	}
-	return evicted
 }
 
 // addNode grows the group (Fig 17e): a new replica starts with the
 // enlarged membership and joins through consensus. The node joins the
 // schedule unconditionally — real-world start/join failures leave a
 // schedule node with a dead process (procDead), never a forked schedule.
-func (c *cluster) addNode() {
-	// Schedule-stream draws first, unconditionally.
-	phase := 0
-	if c.sc.DeltaR != recovery.InfiniteDeltaR && c.sc.DeltaR > 0 {
-		phase = c.rng.Intn(c.sc.DeltaR)
-	}
+func (c *cluster) addNode(t, phase int) {
+	// Schedule-stream draw first, unconditionally.
 	ci := c.rng.Intn(c.fits.Len())
 	c.nextID++
+	c.ctl.AddNode(ci, phase, t)
 
-	fit := c.fits.Fitted(ci)
-	n := &node{
-		profile:       c.fits.Container(ci).Profile,
-		zh:            fit.Healthy.Probs(),
-		zc:            fit.Compromised.Probs(),
-		belief:        c.sc.Params.PA,
-		phase:         phase,
-		compromisedAt: -1,
-	}
-	c.m.Additions++
+	n := &node{profile: c.fits.Container(ci).Profile}
 	c.tm.inc(c.tm.adds)
 
 	ep, err := transport.ListenTCP("127.0.0.1:0")
@@ -936,7 +727,7 @@ func (c *cluster) addNode() {
 	n.addr = ep.Addr()
 	members, _ := c.realMembers()
 	members = append(members, ep.Addr())
-	started, err := c.startNodeOn(ep, members, phase, 0)
+	started, err := c.startNodeOn(ep, members, 0)
 	if err != nil {
 		c.tm.inc(c.tm.cfgFail)
 		_ = ep.Close()
@@ -961,30 +752,12 @@ func (c *cluster) addNode() {
 	c.refreshClients()
 }
 
-// finish assembles the metrics exactly as the emulation does, plus the
-// real-measurement extras.
+// finish assembles the controller's metrics with the real measurements in
+// place of the structural ones: availability is the share of committed
+// probes, and the service latency their mean.
 func (c *cluster) finish() Result {
-	sc := &c.sc
-	m := &c.m
-	for _, n := range c.nodes {
-		if n.compromisedAt >= 0 {
-			c.recoveryTimes = append(c.recoveryTimes, recovery.NoRecoveryPenalty)
-		}
-	}
-	m.Availability = float64(c.availableSteps) / float64(sc.Steps)
-	m.QuorumAvailability = float64(c.quorumSteps) / float64(sc.Steps)
-	if c.nodeSteps > 0 {
-		m.RecoveryFrequency = float64(m.Recoveries) / float64(c.nodeSteps)
-		m.AvgCost = c.costSum / float64(c.nodeSteps)
-	}
-	if len(c.recoveryTimes) > 0 {
-		sum := 0.0
-		for _, v := range c.recoveryTimes {
-			sum += v
-		}
-		m.TimeToRecovery = sum / float64(len(c.recoveryTimes))
-	}
-	m.AvgNodes = c.totalNodes / float64(sc.Steps)
+	m := c.ctl.Finish()
+	m.Availability = float64(c.probesOK) / float64(c.sc.Steps)
 	if c.latencyCount > 0 {
 		m.ServiceLatencyMS = c.latencySumMS / float64(c.latencyCount)
 	}
@@ -1001,7 +774,7 @@ func (c *cluster) finish() Result {
 		c.tm.maxView.Set(float64(maxView))
 	}
 	return Result{
-		Metrics:        *m,
+		Metrics:        m,
 		ScheduleDigest: c.digest.h,
 		Restarts:       c.restarts,
 		MaxView:        maxView,

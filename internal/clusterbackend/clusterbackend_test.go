@@ -2,6 +2,7 @@ package clusterbackend
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -113,5 +114,30 @@ func TestClusterRunCancellation(t *testing.T) {
 	sc := smokeScenario(3)
 	if _, err := Run(ctx, sc, Options{StepInterval: 5 * time.Millisecond}); err == nil {
 		t.Fatal("cancelled run returned nil error")
+	}
+}
+
+// TestClusterRunRejectsBadScenario: the cluster validates scenarios with the
+// emulation's own defaulting, so every input the emulation rejects fails
+// here too — before any replica starts.
+func TestClusterRunRejectsBadScenario(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*emulation.Scenario)
+	}{
+		{"N1 above SMax", func(sc *emulation.Scenario) { sc.N1, sc.SMax = 4, 3 }},
+		{"negative DeltaR", func(sc *emulation.Scenario) { sc.DeltaR = -1 }},
+		{"single replica", func(sc *emulation.Scenario) { sc.N1 = 1 }},
+		{"nil policy", func(sc *emulation.Scenario) { sc.Policy = nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := smokeScenario(3)
+			tc.mutate(&sc)
+			_, err := Run(context.Background(), sc, Options{StepInterval: time.Millisecond})
+			if !errors.Is(err, emulation.ErrBadScenario) {
+				t.Fatalf("err = %v, want ErrBadScenario", err)
+			}
+		})
 	}
 }

@@ -9,9 +9,7 @@ import (
 	"tolerance/internal/attacker"
 	"tolerance/internal/baselines"
 	"tolerance/internal/dist"
-	"tolerance/internal/ids"
 	"tolerance/internal/nodemodel"
-	"tolerance/internal/recovery"
 )
 
 // ErrBadScenario is returned for invalid scenario configurations.
@@ -54,7 +52,9 @@ type Scenario struct {
 	Workload BackgroundWorkload
 }
 
-func (s *Scenario) applyDefaults() error {
+// ApplyDefaults validates s and fills its zero fields with the paper's
+// evaluation defaults (Table 8). Invalid scenarios wrap ErrBadScenario.
+func (s *Scenario) ApplyDefaults() error {
 	if s.Policy == nil {
 		return fmt.Errorf("%w: nil policy", ErrBadScenario)
 	}
@@ -94,6 +94,20 @@ func (s *Scenario) applyDefaults() error {
 		s.Workload = DefaultBackgroundWorkload()
 	}
 	return nil
+}
+
+// FitSet returns the scenario's offline observation-model fit: Fits when
+// supplied, else a set fitted from (FitSamples, FitSeed), with a zero
+// FitSeed derived from Seed via FitStreamSeed.
+func (s *Scenario) FitSet() (*FitSet, error) {
+	if s.Fits != nil {
+		return s.Fits, nil
+	}
+	fitSeed := s.FitSeed
+	if fitSeed == 0 {
+		fitSeed = FitStreamSeed(s.Seed)
+	}
+	return NewFitSet(s.FitSamples, fitSeed)
 }
 
 // DefaultThreshold is the paper's evaluation rule for the tolerance
@@ -144,13 +158,11 @@ type Metrics struct {
 }
 
 // simNode is one virtual node of the testbed: the environment-side state
-// (container, compromise progress, attack campaign) plus the BTR calendar
-// offset and window position. The monitoring-side state the node controller
-// iterates every step — belief, last action, pending alert boosts, Ẑ table
-// offsets — lives in the runner's beliefLanes (struct-of-arrays), so the
-// per-step belief recursion runs over dense slices instead of chasing node
-// pointers. The intrusion tracker is embedded by value (underAttack marks
-// it live), so starting a campaign never allocates.
+// (container, compromise progress, attack campaign, pending alert boost).
+// The controller-side state of the node — belief, last action, BTR calendar
+// offset and window position, Ẑ table offset — lives in the runner's
+// Controller lanes at the same index. The intrusion tracker is embedded by
+// value (underAttack marks it live), so starting a campaign never allocates.
 type simNode struct {
 	id          int
 	container   Container
@@ -158,107 +170,20 @@ type simNode struct {
 	intrusion   attacker.Intrusion
 	underAttack bool
 	behaviour   attacker.Behaviour
-	phase       int // BTR calendar offset
-	// window is the node's BTR window position (t+phase) % DeltaR at the
-	// current step t, advanced and wrapped once per step instead of taking
-	// the modulo (finite DeltaR only).
-	window        int
-	compromisedAt int
+	boost       int // pending alert boost from the ongoing intrusion
 }
 
-// beliefLanes is the per-node monitoring state in struct-of-arrays form,
-// indexed by the node's position in runner.nodes. The persistent lanes
-// (belief, off, boost, action, mark) are appended on spawn, compacted in
-// lockstep with node eviction and truncated with the node set; obs, zh and
-// zc are per-step outputs of the observation pass (length = node count at
-// the start of the step, so they still cover nodes evicted later in the
-// step). Lane backing arrays are reused across steps and across scenarios,
-// preserving the warm-runner zero-allocation property.
-type beliefLanes struct {
-	belief []float64 // node-controller belief b_t
-	off    []int32   // flat Ẑ slab offset = container index × alert support
-	boost  []int32   // pending alert boost from the ongoing intrusion
-	action []uint8   // last action (uint8(nodemodel.Wait) = 0, Recover = 1)
-	mark   []uint32  // forced-recovery epoch mark (stage 2 membership test)
-	obs    []int     // this step's observations (also the AddNode context)
-	zh, zc []float64 // gathered likelihoods Ẑ(o_i|H), Ẑ(o_i|C)
-}
-
-// appendNode adds one node's monitoring state (fresh belief pa, Ẑ offset
-// off) to the persistent lanes.
-func (l *beliefLanes) appendNode(pa float64, off int32) {
-	l.belief = append(l.belief, pa)
-	l.off = append(l.off, off)
-	l.boost = append(l.boost, 0)
-	l.action = append(l.action, 0)
-	l.mark = append(l.mark, 0)
-}
-
-// move copies the persistent lane entries of src to dst (eviction
-// compaction, mirroring the node-slice compaction).
-func (l *beliefLanes) move(dst, src int) {
-	l.belief[dst] = l.belief[src]
-	l.off[dst] = l.off[src]
-	l.boost[dst] = l.boost[src]
-	l.action[dst] = l.action[src]
-	l.mark[dst] = l.mark[src]
-}
-
-// truncate shortens the persistent lanes to n entries, keeping capacity.
-func (l *beliefLanes) truncate(n int) {
-	l.belief = l.belief[:n]
-	l.off = l.off[:n]
-	l.boost = l.boost[:n]
-	l.action = l.action[:n]
-	l.mark = l.mark[:n]
-}
-
-// reserve sizes every lane for n nodes in one shot. The replication cap
-// s_max bounds the node count for the whole run, so reserving once at reset
-// replaces the per-lane append-doubling series with a single allocation per
-// lane — and a runner reused across scenarios of equal cap never allocates
-// lanes again. Only called on empty lanes (after truncate(0)).
-func (l *beliefLanes) reserve(n int) {
-	fl := make([]float64, 3*n)
-	l.belief = fl[0:0:n]
-	l.zh = fl[n : n : 2*n]
-	l.zc = fl[2*n : 2*n : 3*n]
-	i32 := make([]int32, 2*n)
-	l.off = i32[0:0:n]
-	l.boost = i32[n : n : 2*n]
-	l.action = make([]uint8, 0, n)
-	l.mark = make([]uint32, 0, n)
-	l.obs = make([]int, 0, n)
-}
-
-// growFloats returns s resized to n entries, reusing its backing array when
-// the capacity suffices (the steady-state case).
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// growInts is growFloats for int slices.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// runner holds one scenario run's state: the rng streams, the node set,
-// running metric sums, and scratch buffers reused across steps so the
-// steady-state step loop allocates nothing (guarded by
-// TestStepZeroAllocations). A runner is additionally reusable across
-// scenarios through reset: the node structs, rng streams, scratch buffers
-// and metric state all carry over, so a worker that executes many scenarios
-// (the fleet engine's worker-resident mode) reaches a steady state where a
-// whole scenario run allocates nothing (guarded by
+// runner holds one scenario run's environment — the rng streams, the node
+// set and the background workload — and steps it through the Controller,
+// which holds the control state and the metric tally. Scratch buffers are
+// reused across steps so the steady-state step loop allocates nothing
+// (guarded by TestStepZeroAllocations). A runner is additionally reusable
+// across scenarios through reset: the node structs, rng streams, controller
+// lanes and scratch buffers all carry over, so a worker that executes many
+// scenarios (the fleet engine's worker-resident mode) reaches a steady
+// state where a whole scenario run allocates nothing (guarded by
 // TestRunIntoSteadyStateZeroAllocations).
 type runner struct {
-	s Scenario
 	// src is the node/environment stream (seeded by Scenario.Seed). The
 	// per-node draws of the step (alerts and the Bernoulli coin flips) call
 	// it directly; rng wraps the same source for the colder draws (catalog
@@ -267,38 +192,20 @@ type runner struct {
 	src  *dist.SplitMixSource
 	rng  *rand.Rand
 	wrng *rand.Rand // background-workload stream (arrivals + departures)
-	fits *FitSet
+
+	ctl Controller
 
 	nodes  []*simNode
 	pool   []*simNode // recycled node structs (evictions + resets)
 	nextID int
 
-	m              Metrics
-	recoveryTimes  []float64
-	availableSteps int
-	quorumSteps    int
-	nodeSteps      int
-	totalNodes     float64
-	costSum        float64
-	obsSum         float64
-	obsCount       int
-	sessions       int
-
-	// ln is the SoA monitoring state (see beliefLanes); epoch stamps the
-	// per-step forced-recovery marks, so stage 2's membership test is one
-	// lane compare instead of a scan over the recovering list.
-	ln    beliefLanes
-	epoch uint32
+	sessions int
 
 	// Fixed-parameter workload samplers: draw-identical to the
 	// dist.SamplePoisson/SampleBinomial calls they replace, with the
 	// per-step transcendentals hoisted into reset.
 	poisson dist.PoissonSampler
 	binom   dist.BinomialSampler
-
-	// Per-step scratch, reused across steps (node indices into r.nodes).
-	recovering []int32
-	candidates []int32
 }
 
 // reset validates the scenario, resolves the offline fit, recycles the
@@ -306,23 +213,14 @@ type runner struct {
 // the initial nodes. After reset the runner is in exactly the state a
 // freshly constructed runner for the scenario would be in.
 func (r *runner) reset(s Scenario) error {
-	if err := s.applyDefaults(); err != nil {
+	if err := s.ApplyDefaults(); err != nil {
 		return err
 	}
-	fits := s.Fits
-	if fits == nil {
-		fitSeed := s.FitSeed
-		if fitSeed == 0 {
-			fitSeed = FitStreamSeed(s.Seed)
-		}
-		var err error
-		fits, err = NewFitSet(s.FitSamples, fitSeed)
-		if err != nil {
-			return err
-		}
+	fits, err := s.FitSet()
+	if err != nil {
+		return err
 	}
-	r.s = s
-	r.fits = fits
+	r.ctl.reset(s, fits)
 	if r.rng == nil {
 		r.src = dist.NewSplitMixSource(s.Seed)
 		r.rng = rand.New(r.src)
@@ -333,26 +231,11 @@ func (r *runner) reset(s Scenario) error {
 	}
 	r.pool = append(r.pool, r.nodes...)
 	r.nodes = r.nodes[:0]
-	r.m = Metrics{}
-	r.recoveryTimes = r.recoveryTimes[:0]
-	r.availableSteps, r.quorumSteps, r.nodeSteps = 0, 0, 0
-	r.totalNodes, r.costSum, r.obsSum = 0, 0, 0
-	r.obsCount, r.sessions = 0, 0
-	r.ln.truncate(0)
-	if cap(r.ln.belief) < s.SMax {
-		r.ln.reserve(s.SMax)
-	}
-	r.epoch = 0
+	r.sessions = 0
 	r.poisson.Reset(s.Workload.Lambda)
 	r.binom.Reset(1 / s.Workload.MeanServiceSteps)
-	r.recovering = r.recovering[:0]
-	r.candidates = r.candidates[:0]
 	for i := 0; i < s.N1; i++ {
-		phase := 0
-		if s.DeltaR != recovery.InfiniteDeltaR {
-			phase = (i * s.DeltaR) / s.N1 // stagger forced recoveries
-		}
-		r.spawn(i, phase, 0)
+		r.spawn(i, r.ctl.InitialPhase(i), 0)
 	}
 	r.nextID = s.N1
 	return nil
@@ -369,11 +252,8 @@ func newRunner(s Scenario) (*runner, error) {
 }
 
 // spawn appends a node running a uniformly drawn catalog image — recycling
-// a previously evicted node struct when one is available — together with
-// its monitoring-lane entries (fresh belief pA, the container's Ẑ slab
-// offset). t is the current step (0 at reset): the node's window position
-// starts at (t+phase) % DeltaR, so it reads (t'+phase) % DeltaR at every
-// later step t' once step t' has advanced it.
+// a previously evicted node struct when one is available — and adds it to
+// the controller with BTR offset phase at step t (0 at reset).
 func (r *runner) spawn(id, phase, t int) {
 	var n *simNode
 	if k := len(r.pool); k > 0 {
@@ -381,19 +261,15 @@ func (r *runner) spawn(id, phase, t int) {
 	} else {
 		n = &simNode{}
 	}
-	ci := r.rng.Intn(r.fits.Len())
+	fits := r.ctl.fits
+	ci := r.rng.Intn(fits.Len())
 	*n = simNode{
-		id:            id,
-		container:     r.fits.Container(ci),
-		state:         nodemodel.Healthy,
-		phase:         phase,
-		compromisedAt: -1,
-	}
-	if r.s.DeltaR != recovery.InfiniteDeltaR {
-		n.window = (t + phase) % r.s.DeltaR
+		id:        id,
+		container: fits.Container(ci),
+		state:     nodemodel.Healthy,
 	}
 	r.nodes = append(r.nodes, n)
-	r.ln.appendNode(r.s.Params.PA, int32(ci*r.fits.support))
+	r.ctl.AddNode(ci, phase, t)
 }
 
 // Runner executes scenarios with state that is reused from one run to the
@@ -434,13 +310,14 @@ func RunInto(r *Runner, s Scenario) (Metrics, error) {
 	if err := run.reset(s); err != nil {
 		return Metrics{}, err
 	}
-	for t := 1; t <= run.s.Steps; t++ {
+	steps := run.ctl.s.Steps
+	for t := 1; t <= steps; t++ {
 		run.step(t)
 	}
 	if r.onRun != nil {
-		r.onRun(run.s.Steps)
+		r.onRun(steps)
 	}
-	return *run.finish(), nil
+	return run.ctl.Finish(), nil
 }
 
 // Run executes a scenario and returns its metrics. It is the allocate-fresh
@@ -454,11 +331,13 @@ func Run(s Scenario) (*Metrics, error) {
 	return &m, nil
 }
 
-// step advances the simulation by one 60-second time step.
+// step advances the simulation by one 60-second time step: the environment
+// side here, the control side in r.ctl (see Controller for the order).
 func (r *runner) step(t int) {
-	s := &r.s
+	c := &r.ctl
+	s := &c.s
 	src := r.src
-	L := &r.ln
+	fits := c.fits
 
 	// Background client population (Poisson arrivals, exponential service
 	// approximated by geometric departures — a Binomial(sessions, 1/mu)
@@ -469,18 +348,8 @@ func (r *runner) step(t int) {
 	r.sessions -= r.binom.Sample(r.wrng, r.sessions)
 	load := float64(r.sessions) / (s.Workload.Lambda * s.Workload.MeanServiceSteps)
 
-	// 1. Observations and belief updates, in two passes over the lanes.
-	// Pass one draws each node's observation — strictly in node order, the
-	// rng draw order is part of the determinism contract — and gathers the
-	// observation's likelihood pair from the FitSet slabs into dense lanes.
-	// Pass two is the batched Appendix-A recursion over those lanes
-	// (updateBeliefLanes): contiguous loads and multiplies with no per-node
-	// pointer or branch work, bit-identical to the scalar recursion.
-	n := len(r.nodes)
-	obsLane := growInts(L.obs, n)
-	zhLane := growFloats(L.zh, n)
-	zcLane := growFloats(L.zc, n)
-	zhFlat, zcFlat := r.fits.zhFlat, r.fits.zcFlat
+	// 1. Observations — drawn strictly in node order, the rng draw order is
+	// part of the determinism contract — then the belief updates.
 	pFalse := 0.1 * load // background-traffic false-alert probability
 	for i, nd := range r.nodes {
 		alerts := nd.container.Profile.NoIntrusion
@@ -488,172 +357,49 @@ func (r *runner) step(t int) {
 			alerts = nd.container.Profile.Intrusion
 		}
 		obs := alerts.Index(src.Float64()) // = Profile.Sample, draw for draw
-		obs += int(L.boost[i])
-		L.boost[i] = 0
+		obs += nd.boost
+		nd.boost = 0
 		if src.Bernoulli(pFalse) {
 			obs++ // background-traffic false alert
 		}
-		if obs >= ids.AlertSupport {
-			obs = ids.AlertSupport - 1
-		}
-		obsLane[i] = obs
-		r.obsSum += float64(obs)
-		flat := int(L.off[i]) + obs
-		zhLane[i] = zhFlat[flat]
-		zcLane[i] = zcFlat[flat]
+		c.Observe(i, obs)
 	}
-	r.obsCount += n
-	L.obs, L.zh, L.zc = obsLane, zhLane, zcLane
-	updateBeliefLanes(s.Params, L.belief, L.action, zhLane, zcLane)
+	c.UpdateBeliefs()
 
-	// 2. Action selection: forced calendar recoveries first, then the
-	// policy's threshold recoveries, capped at k parallel recoveries.
-	// Forced nodes are marked with this step's epoch, so the exclusion
-	// test below is one lane compare per node instead of the old O(k·n)
-	// scan over the recovering list. Every node's window position advances
-	// to this step's (t+phase) % DeltaR first.
-	r.epoch++
-	epoch := r.epoch
-	recovering := r.recovering[:0]
-	finite := s.DeltaR != recovery.InfiniteDeltaR
-	if finite {
-		btr := s.Policy.UsesBTR()
-		for i, nd := range r.nodes {
-			w := nd.window + 1
-			if w == s.DeltaR {
-				w = 0
-			}
-			nd.window = w
-			if btr && w == 0 && len(recovering) < s.K {
-				recovering = append(recovering, int32(i))
-				L.mark[i] = epoch
-			}
-		}
-	}
-	// Threshold recoveries in descending belief order.
-	candidates := r.candidates[:0]
-	for i, nd := range r.nodes {
-		if L.mark[i] == epoch {
-			continue
-		}
-		windowPos := t + nd.phase
-		if finite {
-			windowPos = nd.window
-			if windowPos == 0 {
-				continue
-			}
-		}
-		action := s.Policy.NodeAction(baselines.NodeContext{
-			Belief:    L.belief[i],
-			Obs:       obsLane[i],
-			WindowPos: windowPos,
-			DeltaR:    s.DeltaR,
-		})
-		if action == nodemodel.Recover {
-			candidates = append(candidates, int32(i))
-		}
-	}
-	sortIndicesByBelief(candidates, L.belief)
-	for _, ci := range candidates {
-		if len(recovering) >= s.K {
-			break
-		}
-		recovering = append(recovering, ci)
-	}
-	r.recovering, r.candidates = recovering, candidates
-
-	// 3. Apply recoveries: the container is replaced with a random
-	// image from Table 4 (§VIII-A) and the belief resets.
-	clear(L.action)
-	for _, ci := range recovering {
+	// 2-3. Action selection and recoveries: the container is replaced with
+	// a random image from Table 4 (§VIII-A).
+	for _, ci := range c.SelectRecoveries(t) {
 		i := int(ci)
 		nd := r.nodes[i]
-		r.m.Recoveries++
-		if nd.compromisedAt >= 0 {
-			r.recoveryTimes = append(r.recoveryTimes, float64(t-nd.compromisedAt))
-			nd.compromisedAt = -1
-		}
-		k := r.rng.Intn(r.fits.Len())
-		nd.container = r.fits.Container(k)
-		L.off[i] = int32(k * r.fits.support)
+		k := r.rng.Intn(fits.Len())
+		c.Recover(i, t, k)
+		nd.container = fits.Container(k)
 		nd.state = nodemodel.Healthy
 		nd.underAttack = false
-		L.belief[i] = s.Params.PA
-		L.action[i] = uint8(nodemodel.Recover)
 	}
 
-	// 4. System controller: evict crashed nodes (they failed to report
-	// a belief, §V-B), then decide whether to add one. The lanes compact
-	// in lockstep with the node slice.
-	evictedNow := 0
+	// 4. System controller: evict crashed nodes (they failed to report a
+	// belief, §V-B), then decide whether to add one.
 	alive := r.nodes[:0]
-	j := 0
 	for i, nd := range r.nodes {
 		if nd.state == nodemodel.Crashed {
-			r.m.Evictions++
-			evictedNow++
 			r.pool = append(r.pool, nd)
 			continue
 		}
-		if j != i {
-			L.move(j, i)
+		if j := len(alive); j != i {
+			c.MoveNode(j, i)
 		}
 		alive = append(alive, nd)
-		j++
 	}
 	r.nodes = alive
-	L.truncate(j)
-	healthyEstimate := 0.0
-	for _, b := range L.belief {
-		healthyEstimate += 1 - b
-	}
-	est := int(math.Floor(healthyEstimate))
-	if est > s.SMax {
-		est = s.SMax
-	}
-	meanObs := 0.0
-	if r.obsCount > 0 {
-		meanObs = r.obsSum / float64(r.obsCount)
-	}
-	if len(r.nodes) < s.SMax && s.Policy.AddNode(baselines.SystemContext{
-		HealthyEstimate: est,
-		AliveNodes:      len(r.nodes),
-		Observations:    obsLane,
-		MeanObs:         meanObs,
-		Rng:             r.rng,
-	}) {
-		phase := 0
-		if finite {
-			phase = r.rng.Intn(s.DeltaR)
-		}
+	c.Evict(len(alive))
+	if phase, ok := c.Grow(r.rng); ok {
 		r.spawn(r.nextID, phase, t)
 		r.nextID++
-		r.m.Additions++
 	}
 
-	// 5. Metrics: T(A) counts the steps where at most f nodes are
-	// compromised or crashed (§III-C; crashed nodes were evicted in
-	// stage 4, so they are exactly this step's eviction count).
-	compromised := 0
-	for i, nd := range r.nodes {
-		switch {
-		case L.action[i] == uint8(nodemodel.Recover):
-			r.costSum++ // eq. (5): a recovery costs 1
-		case nd.state == nodemodel.Compromised:
-			r.costSum += s.Params.Eta // eq. (5): waiting while compromised
-		}
-		if nd.state == nodemodel.Compromised {
-			compromised++
-		}
-	}
-	if compromised+evictedNow <= s.F {
-		r.availableSteps++
-		if len(r.nodes) >= 2*s.F+1+s.K {
-			r.quorumSteps++
-		}
-	}
-	r.nodeSteps += len(r.nodes)
-	r.totalNodes += float64(len(r.nodes))
+	// 5. Metrics.
+	c.Tally()
 
 	// 6. Environment transition: intrusions, crashes, updates.
 	for i, nd := range r.nodes {
@@ -669,130 +415,25 @@ func (r *runner) step(t int) {
 				}
 			}
 			if nd.underAttack {
-				L.boost[i] += int32(nd.intrusion.Advance(r.rng))
+				nd.boost += nd.intrusion.Advance(r.rng)
 				if nd.intrusion.Done() {
 					nd.state = nodemodel.Compromised
 					nd.behaviour = nd.intrusion.Behaviour
-					nd.compromisedAt = t
-					r.m.Intrusions++
+					c.Compromised(i, t)
 				}
 			}
 		case nodemodel.Compromised:
 			if src.Bernoulli(s.Params.PC2) {
 				nd.state = nodemodel.Crashed
-				if nd.compromisedAt >= 0 {
-					r.recoveryTimes = append(r.recoveryTimes, recovery.NoRecoveryPenalty)
-					nd.compromisedAt = -1
-				}
+				c.Crashed(i)
 				continue
 			}
 			if src.Bernoulli(s.Params.PU) {
-				// Software update silently cleans the node (eq. 2g);
-				// not a controller recovery, so T(R) is not recorded.
+				// Software update silently cleans the node (eq. 2g).
 				nd.state = nodemodel.Healthy
 				nd.underAttack = false
-				nd.compromisedAt = -1
+				c.Cleaned(i)
 			}
-		}
-	}
-}
-
-// finish applies end-of-run penalties and assembles the metrics.
-func (r *runner) finish() *Metrics {
-	s := &r.s
-	m := &r.m
-	// Unrecovered intrusions at the end of the run take the penalty.
-	for _, n := range r.nodes {
-		if n.compromisedAt >= 0 {
-			r.recoveryTimes = append(r.recoveryTimes, recovery.NoRecoveryPenalty)
-		}
-	}
-
-	m.Availability = float64(r.availableSteps) / float64(s.Steps)
-	m.QuorumAvailability = float64(r.quorumSteps) / float64(s.Steps)
-	if r.nodeSteps > 0 {
-		m.RecoveryFrequency = float64(m.Recoveries) / float64(r.nodeSteps)
-		m.AvgCost = r.costSum / float64(r.nodeSteps)
-	}
-	if len(r.recoveryTimes) > 0 {
-		sum := 0.0
-		for _, v := range r.recoveryTimes {
-			sum += v
-		}
-		m.TimeToRecovery = sum / float64(len(r.recoveryTimes))
-	}
-	m.AvgNodes = r.totalNodes / float64(s.Steps)
-	return m
-}
-
-// updateBeliefFitted is the Appendix A belief recursion using the
-// controller's estimated observation model Ẑ, supplied as dense likelihood
-// tables (zh[o] = Ẑ(o|H), zc[o] = Ẑ(o|C)) so the hot path is two slice
-// loads and a handful of multiplies.
-func updateBeliefFitted(p nodemodel.Params, zh, zc []float64, belief float64, action nodemodel.Action, obs int) float64 {
-	pred := p.PredictBelief(belief, action)
-	num := zc[obs] * pred
-	den := num + zh[obs]*(1-pred)
-	if den <= 0 {
-		return belief
-	}
-	b := num / den
-	return math.Min(1, math.Max(0, b))
-}
-
-// updateBeliefLanes is the batched form of updateBeliefFitted: one pass of
-// the Appendix A recursion over the dense belief/action/likelihood lanes,
-// with the model constants hoisted out of the loop. Every per-element
-// floating-point operation is the same expression, in the same order, as
-// the scalar recursion through Params.PredictBelief, so the updated beliefs
-// are bit-identical (guarded by TestBeliefLanesMatchScalar); hoisting
-// (1-pC1), (1-pC2) and (1-pU) is bit-safe because each is still computed by
-// the identical single subtraction. The clamp is branch form rather than
-// math.Min/math.Max: num >= +0 and den > 0 exclude NaN and -0, so the
-// branches return the same bits while keeping libm calls out of the loop.
-func updateBeliefLanes(p nodemodel.Params, belief []float64, action []uint8, zh, zc []float64) {
-	if len(action) < len(belief) || len(zh) < len(belief) || len(zc) < len(belief) {
-		panic("emulation: belief lane shape")
-	}
-	pa := p.PA
-	keepH := 1 - p.PC1 // healthy survival (eq. 2a-2e row mass)
-	keepC := 1 - p.PC2 // compromised survival
-	stayC := 1 - p.PU  // compromised and not cleaned by an update
-	for i, b := range belief {
-		pred := pa // recover action resets the compromise prior (eq. 2f-2i)
-		if action[i] == uint8(nodemodel.Wait) {
-			wh := (1 - b) * keepH
-			wc := b * keepC
-			surv := wh + wc
-			if surv <= 0 {
-				pred = b
-			} else {
-				pred = (wh*pa + wc*stayC) / surv
-			}
-		}
-		num := zc[i] * pred
-		den := num + zh[i]*(1-pred)
-		if den <= 0 {
-			continue // degenerate likelihoods: the belief carries over
-		}
-		nb := num / den
-		if nb > 1 {
-			nb = 1
-		} else if nb < 0 {
-			nb = 0
-		}
-		belief[i] = nb
-	}
-}
-
-// sortIndicesByBelief sorts candidate node indices in descending belief
-// order over the belief lane — the same stable insertion sort (ties keep
-// node order) the node-pointer form used, without the pointer chase per
-// comparison.
-func sortIndicesByBelief(idx []int32, belief []float64) {
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && belief[idx[j]] > belief[idx[j-1]]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
 		}
 	}
 }

@@ -129,24 +129,27 @@ func TestWindowCounterMatchesModulo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ln := &r.ctl.ln
 		checkCounters := func(step int) {
-			for _, nd := range r.nodes {
-				if finite && nd.window != (step+nd.phase)%deltaR {
+			for i, nd := range r.nodes {
+				window, phase := int(ln.window[i]), int(ln.phase[i])
+				if finite && window != (step+phase)%deltaR {
 					t.Fatalf("deltaR %d step %d node %d: window %d, (t+phase)%%DeltaR = %d",
-						deltaR, step, nd.id, nd.window, (step+nd.phase)%deltaR)
+						deltaR, step, nd.id, window, (step+phase)%deltaR)
 				}
 			}
 		}
 		checkCounters(0)
 		var want []int
-		for step := 1; step <= r.s.Steps; step++ {
+		for step := 1; step <= r.ctl.s.Steps; step++ {
 			want = want[:0]
-			for _, nd := range r.nodes {
+			for i := range r.nodes {
+				phase := int(ln.phase[i])
 				switch {
 				case !finite:
-					want = append(want, step+nd.phase)
-				case (step+nd.phase)%deltaR != 0:
-					want = append(want, (step+nd.phase)%deltaR)
+					want = append(want, step+phase)
+				case (step+phase)%deltaR != 0:
+					want = append(want, (step+phase)%deltaR)
 				}
 			}
 			probe.got = probe.got[:0]
@@ -156,7 +159,7 @@ func TestWindowCounterMatchesModulo(t *testing.T) {
 			}
 			checkCounters(step)
 		}
-		m := r.m
+		m := r.ctl.m
 		if m.Additions == 0 || m.Evictions == 0 || (finite && m.Recoveries == 0) {
 			t.Errorf("deltaR %d: churn too light to exercise the counters: %+v", deltaR, m)
 		}

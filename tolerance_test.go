@@ -1,6 +1,7 @@
 package tolerance
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -8,11 +9,14 @@ import (
 	"testing"
 )
 
+// TestSolveRecoveryStrategyFacade: Solve's exact recovery strategy is a
+// single Theorem 1 threshold that splits recover from wait.
 func TestSolveRecoveryStrategyFacade(t *testing.T) {
-	s, err := SolveRecoveryStrategy(DefaultNodeModel(), InfiniteDeltaR)
+	sol, err := Solve(context.Background(), RecoveryProblem{Model: DefaultNodeModel(), DeltaR: InfiniteDeltaR})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := sol.Recovery
 	if len(s.Thresholds) != 1 {
 		t.Fatalf("thresholds = %v", s.Thresholds)
 	}
@@ -28,24 +32,31 @@ func TestSolveRecoveryStrategyFacade(t *testing.T) {
 	}
 }
 
+// TestLearnRecoveryStrategyFacade: an Algorithm 1 optimizer through Solve
+// learns a single-threshold strategy; an unknown method fails.
 func TestLearnRecoveryStrategyFacade(t *testing.T) {
-	s, err := LearnRecoveryStrategy(DefaultNodeModel(), InfiniteDeltaR, OptimizerCEM, 120, 1)
+	ctx := context.Background()
+	problem := RecoveryProblem{Model: DefaultNodeModel(), DeltaR: InfiniteDeltaR}
+	sol, err := Solve(ctx, problem, WithMethod(OptimizerCEM), WithBudget(120), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Thresholds) != 1 {
-		t.Fatalf("thresholds = %v", s.Thresholds)
+	if len(sol.Recovery.Thresholds) != 1 {
+		t.Fatalf("thresholds = %v", sol.Recovery.Thresholds)
 	}
-	if _, err := LearnRecoveryStrategy(DefaultNodeModel(), InfiniteDeltaR, "nope", 100, 1); err == nil {
+	if _, err := Solve(ctx, problem, WithMethod("nope"), WithBudget(100), WithSeed(1)); err == nil {
 		t.Error("unknown optimizer should fail")
 	}
 }
 
+// TestSolveReplicationStrategyFacade: Solve's Problem 2 strategy meets the
+// availability bound and adds nodes from an empty system.
 func TestSolveReplicationStrategyFacade(t *testing.T) {
-	r, err := SolveReplicationStrategy(13, 1, 0.9, 0.95)
+	sol, err := Solve(context.Background(), ReplicationProblem{SMax: 13, F: 1, EpsilonA: 0.9, Q: 0.95})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := sol.Replication
 	if len(r.AddProbability) != 14 {
 		t.Fatalf("policy length %d", len(r.AddProbability))
 	}
@@ -65,12 +76,15 @@ func TestSolveReplicationStrategyFacade(t *testing.T) {
 	}
 }
 
+// TestRunFleetSuiteFacade: RunSuite on the smoke suite returns the full
+// report shape with one solve per control problem; unknown names fail.
 func TestRunFleetSuiteFacade(t *testing.T) {
-	names := FleetSuiteNames()
+	ctx := context.Background()
+	names := SuiteNames()
 	if len(names) < 3 {
 		t.Fatalf("built-in suites: %v", names)
 	}
-	report, err := RunFleetSuite("smoke", FleetOptions{Workers: 4})
+	report, err := RunSuite(ctx, SuiteByName("smoke"), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +103,17 @@ func TestRunFleetSuiteFacade(t *testing.T) {
 			t.Errorf("cell %s availability %v", c.Strategy, c.Availability)
 		}
 	}
-	if _, err := RunFleetSuite("no-such-suite", FleetOptions{}); err == nil {
+	if _, err := RunSuite(ctx, SuiteByName("no-such-suite")); err == nil {
 		t.Error("unknown suite should fail")
 	}
 }
 
+// TestRunFleetSuiteFileFacade: a suite exported with SuiteJSON and run from
+// its file reports exactly what the built-in run does; unknown names and
+// missing files fail.
 func TestRunFleetSuiteFileFacade(t *testing.T) {
-	data, err := FleetSuiteJSON("smoke")
+	ctx := context.Background()
+	data, err := SuiteJSON(SuiteByName("smoke"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,21 +121,21 @@ func TestRunFleetSuiteFileFacade(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fromFile, err := RunFleetSuiteFile(path, FleetOptions{Workers: 4})
+	fromFile, err := RunSuite(ctx, SuiteFromFile(path), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	builtin, err := RunFleetSuite("smoke", FleetOptions{Workers: 4})
+	builtin, err := RunSuite(ctx, SuiteByName("smoke"), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fromFile, builtin) {
 		t.Errorf("suite-file run differs from built-in run:\n%+v\n%+v", fromFile, builtin)
 	}
-	if _, err := FleetSuiteJSON("no-such-suite"); err == nil {
+	if _, err := SuiteJSON(SuiteByName("no-such-suite")); err == nil {
 		t.Error("unknown suite should fail")
 	}
-	if _, err := RunFleetSuiteFile(filepath.Join(t.TempDir(), "missing.json"), FleetOptions{}); err == nil {
+	if _, err := RunSuite(ctx, SuiteFromFile(filepath.Join(t.TempDir(), "missing.json"))); err == nil {
 		t.Error("missing suite file should fail")
 	}
 }

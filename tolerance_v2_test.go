@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
 // TestErrBadInputContract is the facade error contract: every validation
-// failure, across every entry point (v2 and deprecated wrappers), wraps
-// ErrBadInput.
+// failure, across every entry point, wraps ErrBadInput.
 func TestErrBadInputContract(t *testing.T) {
 	ctx := context.Background()
 	missing := filepath.Join(t.TempDir(), "missing.json")
@@ -86,22 +84,6 @@ func TestErrBadInputContract(t *testing.T) {
 		}},
 		{"RegisterStrategy duplicate name", func() error {
 			return RegisterStrategy(dupStrategy{})
-		}},
-		{"LearnRecoveryStrategy unknown optimizer", func() error {
-			_, err := LearnRecoveryStrategy(DefaultNodeModel(), 0, "nope", 100, 1)
-			return err
-		}},
-		{"RunFleetSuite unknown name", func() error {
-			_, err := RunFleetSuite("no-such-suite", FleetOptions{})
-			return err
-		}},
-		{"RunFleetSuiteFile missing file", func() error {
-			_, err := RunFleetSuiteFile(missing, FleetOptions{})
-			return err
-		}},
-		{"FleetSuiteJSON unknown name", func() error {
-			_, err := FleetSuiteJSON("no-such-suite")
-			return err
 		}},
 		{"Compare bad N1", func() error {
 			_, err := Compare(CompareConfig{N1: 0})
@@ -195,23 +177,6 @@ func TestSolveRecoveryMethods(t *testing.T) {
 	cancel()
 	if _, err := Solve(cancelled, RecoveryProblem{Model: DefaultNodeModel()}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled Solve: err = %v", err)
-	}
-}
-
-// TestRunSuiteMatchesDeprecatedWrapper guards the compatibility contract:
-// the deprecated wrappers are thin shims over the v2 entry points, so both
-// paths produce identical reports.
-func TestRunSuiteMatchesDeprecatedWrapper(t *testing.T) {
-	v2, err := RunSuite(context.Background(), SuiteByName("smoke"), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := RunFleetSuite("smoke", FleetOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v1, v2) {
-		t.Errorf("wrapper and v2 reports differ:\n%+v\n%+v", v1, v2)
 	}
 }
 
